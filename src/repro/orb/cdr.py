@@ -196,6 +196,19 @@ class CdrDecoder:
         self._take(count)
         return self
 
+    def buffer(self):
+        """``(view, offset)`` for codecs that parse fixed layouts in place
+        with ``struct.unpack_from``; they report the new offset via
+        :meth:`seek`."""
+        return self._data, self._pos
+
+    def seek(self, offset):
+        """Move the read offset to ``offset`` (after an in-place parse)."""
+        if offset > len(self._data):
+            raise MarshalError("truncated CDR stream")
+        self._pos = offset
+        return self
+
     def rest(self):
         """The unread tail as a zero-copy memoryview; consumes the stream."""
         chunk = self._data[self._pos:]

@@ -58,7 +58,10 @@ class SimEndpoint(Endpoint):
         return self.sim.rng
 
     def timer(self, delay, callback, label=""):
-        return self.node.timer(delay, callback, label)
+        # One call into the scheduler; the event carries the node's
+        # incarnation guard (see Node.timer).
+        return self.sim.scheduler.schedule_guarded(
+            self.node, delay, callback, label)
 
     def emit(self, category, detail=None, size=0):
         self.sim.emit(category, detail, size)

@@ -247,4 +247,5 @@ class Network:
             self.sim.emit("net.deliver", {"src": src_id, "dst": dst_id, "port": port}, size)
             self.nodes[dst_id].deliver(src_id, port, payload, size)
 
-        self.sim.schedule_at(arrival, deliver, "deliver:%s->%s" % (src_id, dst_id))
+        self.sim.scheduler.schedule_at(
+            arrival, deliver, "deliver:%s->%s" % (src_id, dst_id))

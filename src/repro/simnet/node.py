@@ -86,13 +86,7 @@ class Node:
         The callback only fires if the node is alive *and* still in the same
         incarnation as when the timer was armed.
         """
-        incarnation = self.incarnation
-
-        def guarded():
-            if self.alive and self.incarnation == incarnation:
-                callback()
-
-        return self.sim.schedule(delay, guarded, label or ("timer@%s" % self.node_id))
+        return self.sim.scheduler.schedule_guarded(self, delay, callback, label)
 
     def __repr__(self):
         state = "up" if self.alive else "down"

@@ -3,9 +3,14 @@
 Ties on the virtual timestamp are broken by insertion order, which makes the
 whole simulation reproducible: two runs with the same seed execute callbacks
 in exactly the same order.
+
+The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique, so
+:mod:`heapq` orders entries by comparing two C-level floats and ints and
+never reaches the event object -- no Python-level ``__lt__`` runs per
+sift step.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush
 
 from repro.simnet.errors import SchedulerExhaustedError
 
@@ -13,18 +18,25 @@ from repro.simnet.errors import SchedulerExhaustedError
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation.
 
-    Instances are ordered by (time, sequence) so that :mod:`heapq` never has
-    to compare the callbacks themselves.
+    ``owner`` is set on node timers (:meth:`EventScheduler.schedule_guarded`):
+    the callback is skipped unless the owner is still alive in the
+    ``incarnation`` it had when the timer was armed.  A skipped timer still
+    consumes its slot -- it advances the clock and counts as processed --
+    so guarded and unguarded schedules step identically.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "_sched")
+    __slots__ = ("time", "seq", "callback", "cancelled", "label", "owner",
+                 "incarnation", "_sched")
 
-    def __init__(self, time, seq, callback, label=""):
+    def __init__(self, time, seq, callback, label="", owner=None,
+                 incarnation=0):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.label = label
+        self.owner = owner
+        self.incarnation = incarnation
         self._sched = None
 
     def cancel(self):
@@ -33,24 +45,32 @@ class ScheduledEvent:
             return
         self.cancelled = True
         self.callback = None
-        if self._sched is not None:
-            self._sched._note_cancel()
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
+        sched = self._sched
+        if sched is not None:
+            # Lazy compaction: cancelled entries stay in the heap (popping
+            # them is O(log n) each) until they are the majority, then one
+            # O(n) rebuild drops them all.  Timer-heavy protocols
+            # (retransmits, heartbeats) cancel far more events than they
+            # run, so without this the heap grows with cancellations
+            # rather than with genuinely pending work.
+            sched._cancelled += 1
+            if (sched._cancelled * 2 > len(sched._heap)
+                    and len(sched._heap) >= sched.COMPACT_MIN_SIZE):
+                sched._compact()
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
+        label = self.label
+        if not label:
+            label = ("timer@%s" % self.owner.node_id
+                     if self.owner is not None else "<fn>")
         return "ScheduledEvent(t=%.9f, seq=%d, %s, %s)" % (
-            self.time,
-            self.seq,
-            self.label or "<fn>",
-            state,
+            self.time, self.seq, label, state,
         )
 
 
 class EventScheduler:
-    """Min-heap of :class:`ScheduledEvent` with a virtual clock.
+    """Min-heap of ``(time, seq, event)`` entries with a virtual clock.
 
     The scheduler owns the clock: ``now`` only advances when events are
     popped, so there is no wall-clock dependence anywhere in the system.
@@ -76,10 +96,10 @@ class EventScheduler:
         """
         if time < self.now:
             time = self.now
-        self._seq += 1
-        event = ScheduledEvent(time, self._seq, callback, label)
+        self._seq = seq = self._seq + 1
+        event = ScheduledEvent(time, seq, callback, label)
         event._sched = self
-        heapq.heappush(self._heap, event)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule(self, delay, callback, label=""):
@@ -88,42 +108,54 @@ class EventScheduler:
             raise ValueError("delay must be >= 0, got %r" % (delay,))
         return self.schedule_at(self.now + delay, callback, label)
 
+    def schedule_guarded(self, owner, delay, callback, label=""):
+        """Schedule a timer that only fires while ``owner`` lives on.
+
+        ``owner`` is anything with ``alive`` and ``incarnation`` attributes
+        (a :class:`~repro.simnet.node.Node`).  The callback runs only if,
+        at its time, the owner is alive and still in the incarnation it
+        had now.  Same delay rules and sequence numbering as
+        :meth:`schedule`, in a single call.
+        """
+        if delay < 0:
+            raise ValueError("delay must be >= 0, got %r" % (delay,))
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        event = ScheduledEvent(time, seq, callback, label, owner,
+                               owner.incarnation)
+        event._sched = self
+        heappush(self._heap, (time, seq, event))
+        return event
+
     def pending(self):
         """Number of not-yet-cancelled events still queued."""
         return len(self._heap) - self._cancelled
 
-    def _note_cancel(self):
-        """Lazy compaction: cancelled events stay in the heap (popping them
-        is O(log n) each) until they are the majority, then one O(n) rebuild
-        drops them all.  Timer-heavy protocols (retransmits, heartbeats)
-        cancel far more events than they run, so without this the heap grows
-        with cancellations rather than with genuinely pending work."""
-        self._cancelled += 1
-        if (len(self._heap) >= self.COMPACT_MIN_SIZE
-                and self._cancelled * 2 > len(self._heap)):
-            self._compact()
-
     def _compact(self):
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
 
     def step(self):
         """Run the single next event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
+            callback = event.callback
+            if callback is None:  # cancelled while queued
                 self._cancelled -= 1
                 continue
-            self.now = event.time
+            self.now = time
             self.processed += 1
-            callback = event.callback
             event.callback = None
             # The event left the heap; a late cancel() must not count it
             # against the heap's cancelled tally.
             event._sched = None
-            callback()
+            owner = event.owner
+            if (owner is None or (owner.alive
+                                  and owner.incarnation == event.incarnation)):
+                callback()
             return True
         return False
 
@@ -151,20 +183,32 @@ class EventScheduler:
         with ``run_until`` rather than ``run``.
         """
         count = 0
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            at, _, event = heap[0]
+            callback = event.callback
+            if callback is None:  # cancelled while queued
+                heappop(heap)
                 self._cancelled -= 1
                 continue
-            if head.time > time:
+            if at > time:
                 break
-            self.step()
+            # step(), inlined: this loop runs every event of a simulation.
+            heappop(heap)
+            self.now = at
+            self.processed += 1
+            event.callback = None
+            event._sched = None
+            owner = event.owner
+            if (owner is None or (owner.alive
+                                  and owner.incarnation == event.incarnation)):
+                callback()
             count += 1
             if count >= max_events:
                 raise SchedulerExhaustedError(
                     "processed %d events before reaching t=%r" % (count, time)
                 )
+            heap = self._heap  # a compaction inside the callback rebinds it
         if time > self.now:
             self.now = time
         return count

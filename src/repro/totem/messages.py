@@ -6,7 +6,17 @@ ships real framed bytes through the simulated network and the simulated
 sizes are the actual encoded sizes.  ``DataMessage`` bodies are padded
 up to the sender's declared application payload size, keeping benchmark
 size sweeps honest even though the toy payloads are tiny tuples.
+
+Every Totem kind that names a ring starts its body with the same *ring
+section* (CDR layout: ``ulong seq, ulong n, n * string member``), written
+and read by :class:`RingId` alone.  A ``RingId`` is immutable, so it
+encodes its section once.  Decoding hands back the interned ``RingId``
+for section bytes it has seen before, and walks new bytes with
+``struct.unpack_from``.  The token, which crosses the wire on every hop,
+packs its remaining fields with one ``struct`` call.
 """
+
+import struct
 
 from repro.wire.codec import (
     KIND_TOTEM_BEACON,
@@ -23,6 +33,39 @@ from repro.wire.codec import (
 
 _GUARANTEE_CODE = {"agreed": 0, "safe": 1}
 _GUARANTEE_NAME = {0: "agreed", 1: "safe"}
+
+_ULONG = struct.Struct(">I")
+_SECTION_HEAD = struct.Struct(">II")     # ring seq, member count
+_TOKEN_HEAD = struct.Struct(">III")      # token_id, seq, len(rtr)
+
+#: Interned rings, by the first bytes of their section (ring seq and
+#: member count): ``head -> [(section bytes, RingId), ...]``.  Every
+#: frame of a ring carries the same section, so after the first decode
+#: each one is a byte comparison returning the *same* ``RingId`` object
+#: -- and ring checks on the hot path become identity checks.  Matching
+#: whole sections never aliases two rings.  Both levels are bounded
+#: (cleared when full), so hostile bytes cannot grow the table.
+_INTERNED = {}
+_INTERNED_MAX = 1024      # distinct heads
+_CANDIDATES_MAX = 8       # sections per head
+
+
+def _intern(section, ring):
+    """Remember ``ring`` as the decoding of ``section``; returns the
+    ring already interned for these bytes, if any."""
+    head = section[:_SECTION_HEAD.size]
+    candidates = _INTERNED.get(head)
+    if candidates is None:
+        if len(_INTERNED) >= _INTERNED_MAX:
+            _INTERNED.clear()
+        candidates = _INTERNED[head] = []
+    for known, interned in candidates:
+        if known == section:
+            return interned
+    if len(candidates) >= _CANDIDATES_MAX:
+        candidates.clear()
+    candidates.append((section, ring))
+    return ring
 
 
 def _slots_eq(self, other):
@@ -45,38 +88,74 @@ class RingId:
     convention and additionally break ties with the representative id).
     """
 
-    __slots__ = ("seq", "members", "representative")
+    __slots__ = ("seq", "members", "representative", "_key", "_section")
 
     def __init__(self, seq, members):
         self.seq = seq
         self.members = tuple(sorted(members))
         self.representative = self.members[0] if self.members else None
+        self._key = (seq, self.members)
+        self._section = None
 
     def key(self):
         """Hashable identity used to index per-ring message stores."""
-        return (self.seq, self.members)
+        return self._key
 
     def successor_of(self, node_id):
         """The next member after ``node_id`` on the logical ring."""
         index = self.members.index(node_id)
         return self.members[(index + 1) % len(self.members)]
 
+    def section(self):
+        """This ring's encoded wire section, built on first use."""
+        section = self._section
+        if section is None:
+            parts = [_SECTION_HEAD.pack(self.seq, len(self.members))]
+            for member in self.members:
+                encoded = member.encode("utf-8")
+                parts.append(_ULONG.pack(len(encoded)))
+                parts.append(encoded)
+            section = self._section = b"".join(parts)
+            # Peers decoding our frames get this very object back.
+            _intern(section, self)
+        return section
+
     def encode_wire(self, enc):
-        enc.ulong(self.seq).ulong(len(self.members))
-        for member in self.members:
-            enc.string(member)
+        enc.raw(self.section())
 
     @classmethod
     def decode_wire(cls, dec):
-        seq = dec.ulong()
-        members = [dec.string() for _ in range(dec.ulong())]
-        return cls(seq, members)
+        view, start = dec.buffer()
+        head = view[start:start + _SECTION_HEAD.size].tobytes()
+        for section, ring in _INTERNED.get(head, ()):
+            # A section is self-delimiting: bytes that begin with a known
+            # section decode to exactly that ring.
+            end = start + len(section)
+            if view[start:end] == section:
+                dec.seek(end)
+                return ring
+        end = start + _SECTION_HEAD.size
+        for _ in range(_SECTION_HEAD.unpack_from(view, start)[1]):
+            end += _ULONG.size + _ULONG.unpack_from(view, end)[0]
+        dec.seek(end)  # rejects a member name running past the body
+        section = view[start:end].tobytes()
+        seq, count = _SECTION_HEAD.unpack_from(section)
+        members = []
+        pos = _SECTION_HEAD.size
+        for _ in range(count):
+            length = _ULONG.unpack_from(section, pos)[0]
+            pos += _ULONG.size
+            members.append(section[pos:pos + length].decode("utf-8"))
+            pos += length
+        return _intern(section, cls(seq, members))
 
     def __eq__(self, other):
-        return isinstance(other, RingId) and self.key() == other.key()
+        if other is self:
+            return True
+        return isinstance(other, RingId) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         return "RingId(seq=%d, members=%s)" % (self.seq, list(self.members))
@@ -189,23 +268,25 @@ class Token:
             self.rotation_min, self.safe_seq,
         )
 
+    # After the ring section, every field is a CDR ulong:
+    # token_id, seq, len(rtr), *sorted(rtr), rotation_min, safe_seq.
+
     def encode_wire(self, enc):
-        self.ring.encode_wire(enc)
-        enc.ulong(self.token_id).ulong(self.seq)
-        enc.ulong(len(self.rtr))
-        for seq in sorted(self.rtr):
-            enc.ulong(seq)
-        enc.ulong(self.rotation_min).ulong(self.safe_seq)
+        rtr = sorted(self.rtr)
+        enc.raw(self.ring.section() + struct.pack(
+            ">%dI" % (len(rtr) + 5), self.token_id, self.seq, len(rtr),
+            *rtr, self.rotation_min, self.safe_seq))
 
     @classmethod
     def decode_wire(cls, dec):
         ring = RingId.decode_wire(dec)
-        token_id = dec.ulong()
-        seq = dec.ulong()
-        rtr = {dec.ulong() for _ in range(dec.ulong())}
-        rotation_min = dec.ulong()
-        safe_seq = dec.ulong()
-        return cls(ring, token_id, seq, rtr, rotation_min, safe_seq)
+        view, start = dec.buffer()
+        token_id, seq, count = _TOKEN_HEAD.unpack_from(view, start)
+        start += _TOKEN_HEAD.size
+        # Bounds-check before sizing the struct format by ``count``.
+        dec.seek(start + _ULONG.size * (count + 2))
+        rest = struct.unpack_from(">%dI" % (count + 2), view, start)
+        return cls(ring, token_id, seq, rest[:count], rest[-2], rest[-1])
 
     __eq__ = _slots_eq
 

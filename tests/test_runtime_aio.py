@@ -6,6 +6,7 @@ real end-to-end exercise in the slow socket tests.
 """
 
 import asyncio
+import math
 import socket
 
 import pytest
@@ -79,15 +80,23 @@ def test_timer_slack_validation():
 
 
 def test_call_after_coalesces_deadlines_onto_slack_grid():
-    runtime = AsyncioRuntime(timer_slack=0.010)
+    slack = 0.010
+    runtime = AsyncioRuntime(timer_slack=slack)
     try:
         fired = []
-        first = runtime.call_after(0.001, lambda: fired.append("a"))
-        second = runtime.call_after(0.004, lambda: fired.append("b"))
+        # Aim both deadlines early inside the next whole grid window, so
+        # they share its ceiling even if a few ms pass before call_after
+        # reads the clock again (deadlines only drift later).
+        now = runtime.loop.time()
+        window_start = (math.floor(now / slack) + 1) * slack
+        first = runtime.call_after(window_start + 0.1 * slack - now,
+                                   lambda: fired.append("a"))
+        second = runtime.call_after(window_start + 0.4 * slack - now,
+                                    lambda: fired.append("b"))
         # Both deadlines land on the same 10ms grid point: one wakeup.
         assert first.when() == second.when()
-        remainder = first.when() % 0.010
-        assert min(remainder, 0.010 - remainder) < 1e-6
+        remainder = first.when() % slack
+        assert min(remainder, slack - remainder) < 1e-6
         runtime.run_for(0.05)
         assert sorted(fired) == ["a", "b"]
     finally:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simnet import Simulator
+from repro.runtime.sim import SimRuntime
+from repro.simnet import Node, Simulator
 from repro.simnet.errors import SimulationError
 from repro.simnet.scheduler import EventScheduler
 
@@ -199,3 +200,94 @@ def test_trace_records_kept_when_enabled():
     sim.emit("b", {"v": 2})
     assert len(sim.trace.matching("a")) == 1
     assert sim.trace.matching("b")[0].detail == {"v": 2}
+
+
+# ----------------------------------------------------------------------
+# Tuple-keyed heap: ordering, accounting and node-timer guards
+# ----------------------------------------------------------------------
+
+def test_equal_times_keep_insertion_order_across_cancel_and_compaction():
+    sched = EventScheduler()
+    ran = []
+    handles = [sched.schedule_at(1.0, lambda i=i: ran.append(i))
+               for i in range(200)]
+    keep = [i for i in range(200) if i % 3 == 0]
+    for i, handle in enumerate(handles):
+        if i % 3:
+            handle.cancel()
+    assert sched.compactions >= 1
+    # Entries are plain (time, seq, event) tuples after the rebuild too.
+    assert all(type(entry) is tuple and entry[2].seq == entry[1]
+               for entry in sched._heap)
+    late = [sched.schedule_at(1.0, lambda i=i: ran.append(i))
+            for i in range(200, 205)]
+    late[1].cancel()
+    sched.run()
+    assert ran == keep + [200, 202, 203, 204]
+
+
+def test_guarded_and_plain_events_share_one_tie_break_sequence():
+    sim = Simulator(seed=0)
+    node = Node(sim, "n1")
+    order = []
+    sim.schedule(0.5, lambda: order.append("plain-1"))
+    node.timer(0.5, lambda: order.append("timer-1"))
+    sim.schedule_at(0.5, lambda: order.append("plain-2"))
+    node.timer(0.5, lambda: order.append("timer-2"))
+    sim.run()
+    assert order == ["plain-1", "timer-1", "plain-2", "timer-2"]
+
+
+def test_pending_processed_and_compactions_keep_their_meaning():
+    sched = EventScheduler()
+    handles = [sched.schedule(float(i + 1), lambda: None) for i in range(100)]
+    assert (sched.pending(), sched.processed, sched.compactions) == (100, 0, 0)
+    for handle in handles[:50]:
+        handle.cancel()
+    # Cancelled entries are still in the heap but no longer pending.
+    assert sched.pending() == 50
+    assert len(sched._heap) == 100
+    assert sched.compactions == 0
+    handles[50].cancel()
+    # 51 of 100 cancelled, a majority: one rebuild dropped them all.
+    assert sched.compactions == 1
+    assert len(sched._heap) == sched.pending() == 49
+    assert sched.run_until(60.0) == 9
+    assert (sched.pending(), sched.processed) == (40, 9)
+    assert sched.step() is True
+    assert (sched.pending(), sched.processed) == (39, 10)
+    assert sched.run() == 39
+    assert (sched.pending(), sched.processed, sched.compactions) == (0, 49, 1)
+    assert sched.step() is False
+
+
+def test_timers_of_a_crashed_or_restarted_node_never_fire():
+    sim = Simulator(seed=0)
+    node = Node(sim, "n1")
+    fired = []
+    node.timer(1.0, lambda: fired.append("crashed"))
+    node.timer(3.0, lambda: fired.append("restarted"))
+    sim.schedule(0.5, node.crash)
+    sim.schedule(2.0, node.recover)
+    sim.schedule(2.5, lambda: node.timer(1.0, lambda: fired.append("new")))
+    sim.run()
+    assert fired == ["new"]
+    # A skipped timer still consumed its slot: clock and count advance.
+    assert sim.now == 3.5
+    assert sim.scheduler.processed == 6
+
+
+def test_endpoint_timers_carry_the_incarnation_guard():
+    runtime = SimRuntime(seed=0)
+    endpoint = runtime.add_node("n1")
+    fired = []
+    endpoint.timer(1.0, lambda: fired.append("before-crash"))
+    handle = endpoint.timer(1.0, lambda: fired.append("cancelled"))
+    handle.cancel()
+    runtime.sim.schedule(0.2, lambda: (endpoint.crash(), endpoint.recover()))
+    runtime.sim.schedule(0.4, lambda: endpoint.timer(
+        0.6, lambda: fired.append("after-recover")))
+    runtime.run_for(2.0)
+    assert fired == ["after-recover"]
+    with pytest.raises(ValueError):
+        endpoint.timer(-0.1, lambda: None)

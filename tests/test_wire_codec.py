@@ -6,11 +6,14 @@ malformed buffer (truncation, corruption, trailing garbage) must raise
 :class:`WireFormatError` rather than crash or silently mis-decode.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # Importing these modules populates the wire-kind registry.
+from repro.orb.cdr import encode_value
 from repro.orb.transport import (
     AckSegment,
     DataSegment,
@@ -32,10 +35,13 @@ from repro.totem.messages import (
     RingId,
     Token,
 )
+from repro.totem import messages as totem_messages
 from repro.wire.codec import (
     decode_one,
     decode_payload,
     encode,
+    encode_body,
+    kind_of,
     registered_kinds,
 )
 from repro.wire.framing import (
@@ -366,3 +372,190 @@ def test_peek_ring_rejects_malformed_header():
         peek_ring(frame[: HEADER_BYTES - 1])
     with pytest.raises(WireFormatError):
         peek_ring(b"XX" + frame[2:])
+
+
+# ----------------------------------------------------------------------
+# Ring section and token codec: frozen byte layout, interning
+# ----------------------------------------------------------------------
+#
+# The ring section is encoded once per RingId and the token is packed
+# with struct, but the bytes are the original CDR layout.  The reference
+# encoders below spell that layout out field by field and must never
+# change: a difference here changes every simulated frame size.
+
+_U32 = struct.Struct(">I")
+_GUARANTEE_OCTET = {"agreed": 0, "safe": 1}
+
+
+def _ref_string(text):
+    raw = text.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
+
+
+def ref_ring_section(ring):
+    return (_U32.pack(ring.seq) + _U32.pack(len(ring.members))
+            + b"".join(_ref_string(member) for member in ring.members))
+
+
+def ref_token_body(token):
+    rtr = sorted(token.rtr)
+    fields = [token.token_id, token.seq, len(rtr), *rtr,
+              token.rotation_min, token.safe_seq]
+    return ref_ring_section(token.ring) + b"".join(
+        _U32.pack(field) for field in fields)
+
+
+def ref_data_body(msg):
+    head = (ref_ring_section(msg.ring) + _U32.pack(msg.seq)
+            + _ref_string(msg.sender)
+            + bytes([_GUARANTEE_OCTET[msg.guarantee], int(msg.retransmit),
+                     int(msg.span is not None)])
+            + (_ref_string(msg.span) if msg.span is not None else b"")
+            + _U32.pack(msg.size))
+    payload = encode_value(msg.payload)
+    return head + payload + b"\x00" * max(0, msg.size - len(payload))
+
+
+# Member names well outside ASCII (no lone surrogates: not encodable).
+wide_name = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)),
+    min_size=1, max_size=10)
+wide_ring = st.builds(
+    RingId,
+    seq=ulong,
+    members=st.lists(wide_name, min_size=1, max_size=8, unique=True),
+)
+wide_token = st.builds(
+    Token,
+    ring=wide_ring,
+    token_id=ulong,
+    seq=ulong,
+    rtr=st.sets(ulong, max_size=10),
+    rotation_min=ulong,
+    safe_seq=ulong,
+)
+wide_data = st.builds(
+    DataMessage,
+    ring=wide_ring,
+    seq=ulong,
+    sender=wide_name,
+    payload=value,
+    size=st.integers(min_value=0, max_value=96),
+    guarantee=st.sampled_from(["agreed", "safe"]),
+    retransmit=st.booleans(),
+    span=st.one_of(st.none(), wide_name),
+)
+
+
+def test_token_and_data_bytes_are_frozen():
+    token = Token(RingId(8, ["n2", "n1"]), token_id=5, seq=3, rtr={4, 2},
+                  rotation_min=1, safe_seq=1)
+    assert encode_body(token).hex() == (
+        "0000000800000002000000026e31000000026e32"
+        "0000000500000003000000020000000200000004"
+        "0000000100000001")
+    data = DataMessage(RingId(12, ["\u00e9", "n1"]), 7, "n1", ("inc", 1), 24,
+                       "safe", retransmit=True, span="s1")
+    assert encode_body(data).hex() == (
+        "0000000c00000002000000026e3100000002c3a9"
+        "00000007000000026e3101010100000002733100"
+        "00001808000000020500000003696e6303000000"
+        "00000000010000")
+
+
+@given(st.one_of(wide_token, wide_data))
+@settings(max_examples=150, deadline=None)
+def test_ring_messages_match_reference_layout_and_round_trip(message):
+    body = encode_body(message)
+    reference = (ref_token_body if isinstance(message, Token)
+                 else ref_data_body)
+    assert body == reference(message)
+    frame = encode(message, ring=3)
+    decoded = decode_one(frame)
+    assert_equal_fields(decoded, message)
+    # Re-encoding the decoded message (interned ring included) gives the
+    # same bytes: a forwarded token is byte-identical to the one received.
+    assert encode(decoded, ring=3) == frame
+
+
+@given(st.one_of(wide_token, wide_data))
+@settings(max_examples=40, deadline=None)
+def test_every_truncation_and_extra_byte_is_rejected(message):
+    body = encode_body(message)
+    kind = kind_of(message)
+    for cut in range(len(body)):
+        with pytest.raises(WireFormatError):
+            decode_payload(encode_frame(kind, body[:cut]))
+    for extra in (b"\x00", b"\xff"):
+        with pytest.raises(WireFormatError):
+            decode_payload(encode_frame(kind, body + extra))
+    frame = encode(message)
+    for cut in range(len(frame)):
+        with pytest.raises(WireFormatError):
+            decode_payload(frame[:cut])
+    with pytest.raises(WireFormatError):
+        decode_payload(frame + b"\x00")
+
+
+def test_member_name_running_past_the_body_is_rejected():
+    token = Token(RingId(4, ["a", "b"]))
+    body = bytearray(encode_body(token))
+    # Inflate the last member name's length so it swallows the token
+    # fields and runs off the end of the body.
+    body[16:20] = _U32.pack(200)
+    with pytest.raises(WireFormatError):
+        decode_payload(encode_frame(kind_of(token), bytes(body)))
+
+
+def test_invalid_utf8_member_name_is_rejected():
+    token = Token(RingId(4, ["ab"]))
+    body = bytearray(encode_body(token))
+    body[12:14] = b"\xff\xfe"
+    with pytest.raises(WireFormatError):
+        decode_payload(encode_frame(kind_of(token), bytes(body)))
+
+
+def _decode_reference_token(ring):
+    token = Token(ring)
+    return decode_one(encode_frame(kind_of(token), ref_token_body(token)))
+
+
+@given(wide_ring, st.data())
+@settings(max_examples=100, deadline=None)
+def test_interned_rings_never_alias(ring, data):
+    # Same seq and member count: both sections share the table's head.
+    size = len(ring.members)
+    same_seq = RingId(ring.seq, data.draw(
+        st.lists(wide_name, min_size=size, max_size=size, unique=True)
+        .filter(lambda members: tuple(sorted(members)) != ring.members)))
+    same_members = RingId(
+        data.draw(ulong.filter(lambda seq: seq != ring.seq)), ring.members)
+    rings = [ring, same_seq, same_members]
+    # Reference bytes and an empty table: the first decode of each ring
+    # takes the parsing path, the second the interned one.
+    totem_messages._INTERNED.clear()
+    decoded = [_decode_reference_token(r).ring for r in rings]
+    again = [_decode_reference_token(r).ring for r in rings]
+    for original, first, second in zip(rings, decoded, again):
+        assert first == original and first.key() == original.key()
+        assert second is first  # the same bytes intern to one object
+    assert decoded[0] != decoded[1] and decoded[0] is not decoded[1]
+    assert decoded[0] != decoded[2] and decoded[0] is not decoded[2]
+    assert decoded[1] != decoded[2]
+
+
+def test_intern_table_stays_bounded_and_correct():
+    limit = totem_messages._INTERNED_MAX
+    rings = [RingId(seq, ["x", "y"]) for seq in range(limit + 50)]
+    for ring in rings:
+        assert _decode_reference_token(ring).ring == ring
+    assert len(totem_messages._INTERNED) <= limit
+    assert _decode_reference_token(rings[0]).ring.key() == rings[0].key()
+    # Many rings sharing one head (same seq, same member count).
+    crowd = [RingId(7, ["m%d" % index, "z"]) for index in range(40)]
+    for _ in range(2):
+        for ring in crowd:
+            assert _decode_reference_token(ring).ring.key() == ring.key()
+    head = ref_ring_section(crowd[0])[:8]
+    assert len(totem_messages._INTERNED[head]) <= (
+        totem_messages._CANDIDATES_MAX)
